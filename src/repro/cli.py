@@ -144,14 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(see docs/PERFORMANCE.md)",
     )
     cluster.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="prescore the re-examination matrix on N worker processes "
-        "(vectorized backend only; 0 = in-process)",
-    )
-    cluster.add_argument(
         "--show-members", action="store_true", help="list member ids per cluster"
     )
     cluster.add_argument(
@@ -391,13 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="request queue bound; beyond it classify answers 503",
     )
     serve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="score batches on N worker processes (0 = in-process)",
-    )
-    serve.add_argument(
         "--ready-file",
         metavar="PATH",
         default=None,
@@ -476,7 +461,6 @@ def _command_cluster(args: argparse.Namespace) -> int:
         min_unique_members=args.min_unique,
         seed=args.seed,
         backend=args.backend,
-        workers=args.workers,
     )
     result = CLUSEQ(params).fit(db)
     print(result.summary())
@@ -769,7 +753,6 @@ def _command_serve(args: argparse.Namespace) -> int:
                 max_batch=args.max_batch,
                 max_delay=args.batch_delay_ms / 1000.0,
                 max_queue=args.queue_size,
-                workers=args.workers,
             )
             stop = asyncio.Event()
             loop = asyncio.get_running_loop()

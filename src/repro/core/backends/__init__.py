@@ -3,15 +3,12 @@
 See docs/PERFORMANCE.md for the architecture. The ``reference``
 backend (``repro.core.similarity``) is the normative transcription of
 the paper; the ``vectorized`` backend here reproduces it bit-for-bit
-from flattened PST arrays, batched over many (sequence, tree) pairs,
-with an optional multiprocessing fan-out for the re-examination
-scoring matrix.
+from flattened PST arrays, one full-matrix kernel call per batch of
+(sequence, tree) pairs.
 """
 
 from .dispatch import BACKENDS, PstBatchScorer, resolve_backend
 from .flatten import FlattenedPST, flatten_pst
-from .parallel import ScoringPool
-from .shm import SharedFlatSpec, ShmFlatStore, attach_flat, publish_flat
 from .vectorized import (
     KADANE_NUMPY_MIN_ROWS,
     KadaneBatchResult,
@@ -19,12 +16,9 @@ from .vectorized import (
     ScoreMatrixResult,
     StackedFlats,
     kadane_columns,
-    kadane_rows,
     pad_sequences,
     prepare_stack,
-    score_matrix_stacked,
     stack_flats,
-    walk_states,
     walk_states_matrix,
 )
 
@@ -36,20 +30,12 @@ __all__ = [
     "PreparedStack",
     "PstBatchScorer",
     "ScoreMatrixResult",
-    "ScoringPool",
-    "SharedFlatSpec",
-    "ShmFlatStore",
     "StackedFlats",
-    "attach_flat",
     "flatten_pst",
     "kadane_columns",
-    "kadane_rows",
     "pad_sequences",
     "prepare_stack",
-    "publish_flat",
     "resolve_backend",
-    "score_matrix_stacked",
     "stack_flats",
-    "walk_states",
     "walk_states_matrix",
 ]

@@ -31,11 +31,10 @@ from collections.abc import Sequence
 import numpy as np
 import numpy.typing as npt
 
-from ...obs import current_trace_context, get_profiler, get_registry
+from ...obs import get_profiler, get_registry
 from ..pst import ProbabilisticSuffixTree
 from ..similarity import SimilarityResult
 from .flatten import FlattenedPST
-from .parallel import ScoringPool
 from .vectorized import (
     PreparedStack,
     ScoreMatrixResult,
@@ -201,31 +200,20 @@ class PstBatchScorer:
         started = time.perf_counter()
         prof = get_profiler()
         trees = int(prep.stacked.roots.shape[0])
-        if prof.enabled:
-            # Per-kernel timings for the profiler; the untimed branch
-            # below is the hot default and stays call-for-call
-            # identical to the pre-profiler code.
-            with prof.kernel("pad"):
-                padded, lengths = pad_sequences(sequences)
-            with prof.kernel("walk"):
-                states = walk_states_matrix(prep, padded)
-            with prof.kernel("gather"):
-                ratios = gather_ratios_matrix(prep, padded, states)
-            with prof.kernel("kadane"):
-                flat = kadane_columns(
-                    ratios.reshape(padded.shape[1], trees * padded.shape[0]),
-                    np.tile(lengths, trees),
-                )
-            matrix = matrix_from_batch(flat, trees, padded.shape[0])
-        else:
+        # The disabled profiler hands back one shared no-op timer, so
+        # the stage timers cost no allocation on the default path.
+        with prof.kernel("pad"):
             padded, lengths = pad_sequences(sequences)
+        with prof.kernel("walk"):
             states = walk_states_matrix(prep, padded)
+        with prof.kernel("gather"):
             ratios = gather_ratios_matrix(prep, padded, states)
+        with prof.kernel("kadane"):
             flat = kadane_columns(
                 ratios.reshape(padded.shape[1], trees * padded.shape[0]),
                 np.tile(lengths, trees),
             )
-            matrix = matrix_from_batch(flat, trees, padded.shape[0])
+        matrix = matrix_from_batch(flat, trees, padded.shape[0])
         registry = get_registry()
         if registry.enabled:
             pairs = trees * len(sequences)
@@ -301,35 +289,14 @@ class PstBatchScorer:
         self,
         psts: Sequence[ProbabilisticSuffixTree],
         sequences: Sequence[Sequence[int]],
-        pool: "ScoringPool | None" = None,
     ) -> ScoreMatrixResult:
-        """Score a (tree × sequence) chunk, optionally on a worker pool.
+        """Score a (tree × sequence) chunk ahead of a sequential commit.
 
-        With *pool* the padded sequence block is fanned out to worker
-        processes that attach the flats' shared-memory segments (see
-        :mod:`repro.core.backends.shm`); without, this is
-        :meth:`score_matrix_full`. Either way the caller must treat the
-        result as a *snapshot*: pairs against a tree that mutates
-        afterwards must be rescored before being committed.
+        The scores are :meth:`score_matrix_full`'s; the caller must
+        treat the result as a *snapshot*: pairs against a tree that
+        mutates afterwards must be rescored before being committed.
         """
-        if pool is None or not psts or not sequences:
-            return self.score_matrix_full(psts, sequences)
-        flats = [self.flat_for(pst) for pst in psts]
-        padded, lengths = pad_sequences(sequences)
-        matrix = pool.prescore_matrix(
-            flats, padded, lengths, self._log_bg,
-            trace=current_trace_context(),
-        )
-        registry = get_registry()
-        if registry.enabled:
-            pairs = len(psts) * len(sequences)
-            cells = int(lengths.sum()) * len(psts)
-            registry.counter("backend.parallel_chunks").inc()
-            registry.counter("backend.batch_rows").inc(pairs)
-            registry.counter("similarity.calls").inc(pairs)
-            registry.counter("similarity.dp_cells").inc(cells)
-            _observe_segment_lengths(matrix)
-        return matrix
+        return self.score_matrix_full(psts, sequences)
 
     def forget(self) -> None:
         """Drop the stack caches (releases references to cached trees)."""

@@ -1,41 +1,22 @@
-"""Shared-memory publishing of flattened PSTs for worker processes.
+"""Shared-memory publishing of flattened PSTs for other processes.
 
-The first multiprocessing fan-out pickled every
-:class:`~repro.core.backends.flatten.FlattenedPST` into every chunk
-submission — the model tables were serialized, shipped and rebuilt per
-chunk, which made ``workers>0`` *slower* than in-process scoring. This
-module replaces that wire format: the parent publishes each flat's
-arrays once into a ``multiprocessing.shared_memory`` segment, and
-workers receive only a :class:`SharedFlatSpec` — segment name, array
-shapes/dtypes/offsets, tree version — from which they rebuild the flat
-as zero-copy numpy views over the mapped segment.
+The shard-process runner (:mod:`repro.shard.proc`) ships cluster
+exports between processes without pickling the tables: the publishing
+process copies each flat's arrays once into a
+``multiprocessing.shared_memory`` segment with :func:`publish_flat`,
+and the receiver gets only a :class:`SharedFlatSpec` — segment name,
+array shapes/dtypes/offsets, tree version — from which
+:func:`attach_flat` rebuilds the flat as zero-copy numpy views over the
+mapped segment.
 
-Lifecycle
----------
-Segments are owned by the parent's :class:`ShmFlatStore`, keyed by the
-identity of the published flat (one flat object exists per (tree,
-version) — a mutated tree exports a *new* flat, so version invalidation
-is object identity):
-
-* :meth:`ShmFlatStore.pin` publishes on first sight (or reuses the
-  live segment) and bumps the segment's refcount for the duration of an
-  in-flight prescore.
-* :meth:`ShmFlatStore.release` drops the refcount; a segment that was
-  marked stale while in flight is unlinked at zero.
-* :meth:`ShmFlatStore.sync` marks every segment whose flat is no longer
-  in the working set as stale — segments of mutated or dismissed trees
-  are unlinked as soon as (and no earlier than) their refcount allows.
-* :meth:`ShmFlatStore.close` unlinks everything unconditionally; it is
-  idempotent and hooked to the owning pool's finalizer, so segments
-  never outlive the pool even when ``close()`` is forgotten.
-
-Unlinking only removes the name: workers that still hold a mapping keep
-it until they drop their views, which is exactly the POSIX contract the
-refcounts piggyback on. Pool workers share the parent's
-``multiprocessing.resource_tracker`` process, so a worker's attach is a
-no-op duplicate registration and the parent's unlink clears the single
-tracker entry — neither side may unregister on its own, or the other's
-bookkeeping breaks.
+The publisher owns the segment (close + unlink); the receiver keeps
+the returned ``SharedMemory`` referenced while the flat is in use and
+closes it afterwards. Unlinking only removes the name: a receiver that
+still holds a mapping keeps it until it drops its views. Publisher and
+receiver must share one ``multiprocessing.resource_tracker`` process,
+so the receiver's attach is a no-op duplicate registration and the
+publisher's unlink clears the single tracker entry — neither side may
+unregister on its own, or the other's bookkeeping breaks.
 
 Segment names are deterministic (``cluseq-<pid>-<counter>``): the
 repo's seeded-randomness rule (CLQ002) applies to infrastructure too,
@@ -45,14 +26,11 @@ and deterministic names make ``/dev/shm`` hygiene testable.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 from multiprocessing.shared_memory import SharedMemory
-from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from ...obs import get_profiler, get_registry
 from .flatten import FlattenedPST
 
 #: FlattenedPST array fields shipped through a segment, in layout order.
@@ -76,7 +54,7 @@ _SEGMENT_COUNTER = 0
 
 @dataclass(frozen=True)
 class SharedFlatSpec:
-    """The wire form of one published flat: everything a worker needs
+    """The wire form of one published flat: everything a receiver needs
     to rebuild the :class:`FlattenedPST` as views over the segment.
 
     Pickles to a few hundred bytes regardless of model size — the
@@ -127,10 +105,8 @@ def _create_segment(size: int) -> SharedMemory:
 def publish_flat(flat: FlattenedPST) -> tuple[SharedMemory, SharedFlatSpec]:
     """Copy *flat*'s arrays into a fresh segment; returns (segment, spec).
 
-    Published once per (tree, version), the segment serves every §4.2
-    re-examination chunk scored against that model. The caller owns the
-    segment (close + unlink). Use a :class:`ShmFlatStore` unless you
-    are writing lifecycle tests.
+    The segment carries one cluster's §2 PST tables to another process.
+    The caller owns the segment (close + unlink).
     """
     metas, total = _layout(flat)
     shm = _create_segment(total)
@@ -158,11 +134,10 @@ def publish_flat(flat: FlattenedPST) -> tuple[SharedMemory, SharedFlatSpec]:
 def attach_flat(spec: SharedFlatSpec) -> tuple[SharedMemory, FlattenedPST]:
     """Map *spec*'s segment and rebuild the flat as zero-copy views.
 
-    The worker-side half of the §4.2 prescore fan-out: the returned
-    arrays are read-only views over the mapped segment — nothing is
-    deserialized. The caller must keep the returned ``SharedMemory``
-    referenced for as long as the flat is in use and drop both together
-    (the worker-side cache in :mod:`repro.core.backends.parallel` does).
+    The receiving half of a §2 PST table transfer: the returned arrays are read-only views over the mapped segment —
+    nothing is deserialized. The caller must keep the returned
+    ``SharedMemory`` referenced for as long as the flat is in use and
+    drop both together.
     """
     shm = SharedMemory(name=spec.name)
     views: dict[str, np.ndarray] = {}
@@ -182,134 +157,3 @@ def attach_flat(spec: SharedFlatSpec) -> tuple[SharedMemory, FlattenedPST]:
         **views,
     )
     return shm, flat
-
-
-class _Entry:
-    """One published segment's lifecycle state."""
-
-    __slots__ = ("flat", "shm", "spec", "refcount", "stale")
-
-    def __init__(
-        self, flat: FlattenedPST, shm: SharedMemory, spec: SharedFlatSpec
-    ) -> None:
-        self.flat = flat
-        self.shm = shm
-        self.spec = spec
-        self.refcount = 0
-        self.stale = False
-
-
-class ShmFlatStore:
-    """Parent-side registry of published flats, refcount-managed.
-
-    Entries hold a strong reference to their flat, so the ``id(flat)``
-    key cannot be reused while the entry lives — identity *is* the
-    (tree, version) key, because every tree mutation exports a fresh
-    flat object.
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[int, _Entry] = {}
-
-    # -- introspection (tests, metrics) -----------------------------------
-
-    @property
-    def segment_names(self) -> list[str]:
-        return [entry.spec.name for entry in self._entries.values()]
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(entry.spec.nbytes for entry in self._entries.values())
-
-    def refcount_of(self, flat: FlattenedPST) -> int:
-        entry = self._entries.get(id(flat))
-        if entry is None or entry.flat is not flat:
-            return 0
-        return entry.refcount
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def pin(self, flat: FlattenedPST) -> SharedFlatSpec:
-        """Publish (or reuse) *flat*'s segment and pin it for a chunk."""
-        entry = self._entries.get(id(flat))
-        registry = get_registry()
-        if entry is not None and entry.flat is flat:
-            entry.stale = False
-            entry.refcount += 1
-            if registry.enabled:
-                registry.counter("backend.shm.reuses").inc()
-            return entry.spec
-        started = time.perf_counter()
-        prof = get_profiler()
-        if prof.enabled:
-            with prof.kernel("shm_publish"):
-                shm, spec = publish_flat(flat)
-        else:
-            shm, spec = publish_flat(flat)
-        entry = _Entry(flat, shm, spec)
-        entry.refcount = 1
-        self._entries[id(flat)] = entry
-        if registry.enabled:
-            registry.counter("backend.shm.publishes").inc()
-            registry.timer("backend.shm.publish_seconds").record(
-                time.perf_counter() - started
-            )
-            registry.gauge("backend.shm.segments").set(len(self._entries))
-            registry.gauge("backend.shm.bytes").set(self.total_bytes)
-        return entry.spec
-
-    def release(self, flat: FlattenedPST) -> None:
-        """Unpin *flat*'s segment; unlink it if it went stale in flight."""
-        entry = self._entries.get(id(flat))
-        if entry is None or entry.flat is not flat:
-            return
-        entry.refcount = max(0, entry.refcount - 1)
-        if entry.stale and entry.refcount == 0:
-            self._unlink(id(flat))
-
-    def sync(self, flats: Iterable[FlattenedPST]) -> None:
-        """Retain exactly *flats*; stale segments unlink when unpinned.
-
-        This is the version-bump invalidation point: a mutated tree's
-        new flat is absent from the store (published on next pin)
-        and its old flat is absent from *flats* (marked stale here).
-        """
-        keep = {id(flat) for flat in flats}
-        for key in list(self._entries):
-            if key in keep:
-                continue
-            entry = self._entries[key]
-            entry.stale = True
-            if entry.refcount == 0:
-                self._unlink(key)
-
-    def close(self) -> None:
-        """Unlink every segment. Idempotent; refcounts are moot —
-        this is final teardown (pool shutdown or finalizer)."""
-        for key in list(self._entries):
-            self._unlink(key)
-
-    def _unlink(self, key: int) -> None:
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            return
-        entry.shm.close()
-        entry.shm.unlink()
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("backend.shm.unlinks").inc()
-            registry.gauge("backend.shm.segments").set(len(self._entries))
-            registry.gauge("backend.shm.bytes").set(self.total_bytes)
-
-
-def specs_for(
-    store: ShmFlatStore, flats: Sequence[FlattenedPST]
-) -> list[SharedFlatSpec]:
-    """Sync the store to *flats* and pin a spec per flat.
-
-    One call per §4.2 prescore chunk: exactly the current cluster
-    models stay published. Pair with one :meth:`ShmFlatStore.release`
-    per flat once the prescore they pin is fully collected.
-    """
-    store.sync(flats)
-    return [store.pin(flat) for flat in flats]

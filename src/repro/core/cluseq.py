@@ -54,7 +54,6 @@ from .backends import (
     BACKENDS,
     PstBatchScorer,
     ScoreMatrixResult,
-    ScoringPool,
     resolve_backend,
 )
 from .cluster import Cluster, Membership
@@ -114,10 +113,6 @@ class CluseqParams:
     #: ``vectorized`` (flattened-array batch kernel, bit-identical
     #: results) or ``auto`` (currently the vectorized backend).
     backend: str = "auto"
-    #: Worker processes for prescoring the re-examination scoring
-    #: matrix (vectorized backend only); 0 keeps everything in-process.
-    #: Results are identical for any worker count.
-    workers: int = 0
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -148,8 +143,6 @@ class CluseqParams:
             )
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}")
-        if self.workers < 0:
-            raise ValueError("workers must be non-negative")
 
     def resolved_min_unique(self) -> int:
         """The consolidation threshold (defaults to ``c``, per the paper)."""
@@ -461,6 +454,7 @@ class CLUSEQ:
             return self._fit(db)
 
     def _fit(self, db: SequenceDatabase) -> ClusteringResult:
+        """The §4 iteration loop: seed, recluster, consolidate, adjust."""
         if len(db) == 0:
             raise ValueError("cannot cluster an empty database")
         params = self.params
@@ -479,27 +473,7 @@ class CLUSEQ:
         # clustering — only how fast scores are produced.
         backend = resolve_backend(params.backend)
         scorer = PstBatchScorer(background) if backend == "vectorized" else None
-        if scorer is not None and params.workers > 0:
-            # The context manager guarantees executor shutdown and
-            # shared-memory segment unlink on every exit path.
-            with ScoringPool(params.workers) as pool:
-                return self._fit_loop(
-                    db, encoded, background, p_min, rng, scorer, pool
-                )
-        return self._fit_loop(db, encoded, background, p_min, rng, scorer, None)
 
-    def _fit_loop(
-        self,
-        db: SequenceDatabase,
-        encoded: list[list[int]],
-        background: npt.NDArray[np.float64],
-        p_min: float,
-        rng: np.random.Generator,
-        scorer: PstBatchScorer | None,
-        pool: ScoringPool | None,
-    ) -> ClusteringResult:
-        """The §4 iteration loop proper, scoring backend already resolved."""
-        params = self.params
         pst_factory = partial(
             build_seed_pst,
             alphabet_size=db.alphabet.size,
@@ -622,7 +596,6 @@ class CLUSEQ:
                             log_t,
                             all_log_sims,
                             scorer,
-                            pool,
                         )
                     )
                 else:
@@ -918,19 +891,17 @@ class CLUSEQ:
         log_t: float,
         all_log_sims: list[float],
         scorer: PstBatchScorer,
-        pool: ScoringPool | None,
     ) -> tuple[int, int]:
         """Phase 2 on the vectorized backend: prescore, validate, commit.
 
         Sequences are prescored in chunks of :data:`PRESCORE_CHUNK`
-        against a snapshot of every cluster model (optionally fanned out
-        to *pool* workers), then committed **sequentially** in
-        examination order. A prescored pair is trusted only while its
-        cluster's PST version still matches the snapshot; a cluster that
-        absorbed a segment mid-chunk gets the affected pairs rescored
-        in-process against its current model. The committed scores are
-        therefore exactly the reference path's, join for join and
-        segment for segment.
+        against a snapshot of every cluster model, then committed
+        **sequentially** in examination order. A prescored pair is
+        trusted only while its cluster's PST version still matches the
+        snapshot; a cluster that absorbed a segment mid-chunk gets the
+        affected pairs rescored against its current model. The committed
+        scores are therefore exactly the reference path's, join for join
+        and segment for segment.
 
         When a chunk's stale fraction exceeds
         :data:`STALE_SWITCH_FRACTION`, prescoring is wasting its work
@@ -970,7 +941,7 @@ class CLUSEQ:
             psts = [cluster.pst for cluster in clusters]
             versions = [pst.version for pst in psts]
             block_seqs = [encoded[index] for index in block]
-            matrix = scorer.prescore_matrix(psts, block_seqs, pool=pool)
+            matrix = scorer.prescore_matrix(psts, block_seqs)
             # One bulk convert: reading the scalars for the join tests
             # through numpy indexing would cost a boxed float per pair.
             log_z_rows = matrix.log_z.tolist()

@@ -122,12 +122,16 @@ def result_from_dict(data: dict[str, Any]) -> ClusteringResult:
             )
         clusters.append(cluster)
     history = [IterationStats(**stats) for stats in data.get("history", [])]
+    params = dict(data["params"])
+    # Files saved while the worker-pool option existed carry its count;
+    # it never affected results, so it is dropped on load.
+    params.pop("workers", None)
     return ClusteringResult(
         clusters=clusters,
         assignments={
             int(index): set(ids) for index, ids in data["assignments"].items()
         },
-        params=CluseqParams(**data["params"]),
+        params=CluseqParams(**params),
         background=np.asarray(data["background"], dtype=np.float64),
         final_log_threshold=data["final_log_threshold"],
         history=history,

@@ -14,7 +14,7 @@ stream:
 * **JSONL trace spans** — :class:`JsonlSpanExporter` writes finished
   spans as ``repro.trace/v1`` JSON lines (one header record, then one
   record per span with trace/span/parent ids), the wire format the
-  ``ScoringPool`` fan-out and streaming micro-batches stitch into.
+  streaming micro-batches stitch into.
 
 Stdlib-only, like the rest of ``repro.obs``.
 """

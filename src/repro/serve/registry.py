@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..core.backends.dispatch import PstBatchScorer
-from ..core.backends.parallel import ScoringPool
 from ..core.cluseq import ClusteringResult
 from ..core.persistence import FORMAT_VERSION, result_from_dict
 from ..obs import get_registry
@@ -193,9 +192,7 @@ class ModelVersion:
         return self._drained.wait(timeout)
 
     def classify_batch(
-        self,
-        sequences: list[list[str]],
-        pool: ScoringPool | None = None,
+        self, sequences: list[list[str]]
     ) -> list[ClassifyOutcome | None]:
         """Classify raw symbol sequences; ``None`` marks an unencodable one.
 
@@ -222,10 +219,7 @@ class ModelVersion:
         if not encoded:
             return outcomes
         psts = [cluster.pst for cluster in self.result.clusters]
-        if pool is not None:
-            matrix = self.scorer.prescore_matrix(psts, encoded, pool=pool)
-        else:
-            matrix = self.scorer.score_matrix_full(psts, encoded)
+        matrix = self.scorer.score_matrix_full(psts, encoded)
         threshold = self.result.final_log_threshold
         for column, position in enumerate(positions):
             best_tree = -1

@@ -25,13 +25,13 @@ from repro.core.backends import (
     PstBatchScorer,
     flatten_pst,
     pad_sequences,
+    prepare_stack,
     stack_flats,
-    walk_states,
+    walk_states_matrix,
 )
 from repro.core.backends.vectorized import (
-    _kadane_rows_numpy,
+    _kadane_columns_numpy,
     _kadane_rows_python,
-    gather_log_ratios,
     log_background,
 )
 from repro.core.pst import ProbabilisticSuffixTree
@@ -149,24 +149,29 @@ class TestBruteforceAgreement:
 
 class TestSuffixSelection:
     def test_walk_states_selects_longest_significant_suffix(self, scenarios):
-        """The batched walk lands on the reference's prediction node.
+        """The matrix walk lands on the reference's prediction node.
 
-        Checked structurally: at every position the flat row's depth
-        must equal the length of ``longest_significant_suffix`` of the
-        position's context, and the row's label (recovered through the
-        suffix links) must be that suffix.
+        Checked structurally on the ``(width, trees, sequences)`` cube:
+        at every real position the flat row's depth must equal the
+        length of ``longest_significant_suffix`` of the position's
+        context, and the row's label (recovered through the suffix
+        links) must be that suffix. The tree is stacked twice so the
+        second copy walks from a non-zero root offset.
         """
         for case, (pst, background, sequences) in enumerate(scenarios):
             flat = flatten_pst(pst)
-            stacked = stack_flats([flat])
+            stacked = stack_flats([flat, flat])
+            prep = prepare_stack(stacked, log_background(background))
             padded, lengths = pad_sequences(sequences)
-            states = walk_states(
-                stacked, padded, np.zeros(len(sequences), dtype=np.intp)
-            )
+            cube = walk_states_matrix(prep, padded)
+            assert cube.shape == (padded.shape[1], 2, len(sequences))
             for row, seq in enumerate(sequences):
                 for i in range(len(seq)):
                     suffix = pst.longest_significant_suffix(seq[:i])
-                    state = int(states[row, i])
+                    assert int(cube[i, 1, row]) == int(cube[i, 0, row]) + int(
+                        stacked.roots[1]
+                    ), f"case {case} row {row} pos {i}"
+                    state = int(cube[i, 0, row])
                     assert int(flat.depths[state]) == len(suffix), (
                         f"case {case} row {row} pos {i}"
                     )
@@ -272,10 +277,11 @@ class TestKadaneImplementationsAgree:
     def test_python_and_numpy_scans_are_bit_identical(self):
         """Both X/Y/Z scans on the same ratio matrix, every row equal.
 
-        The dispatcher picks by row count (KADANE_NUMPY_MIN_ROWS), so
-        the two implementations must be interchangeable down to tie
+        ``kadane_columns`` picks by row count (KADANE_NUMPY_MIN_ROWS),
+        so the two implementations must be interchangeable down to tie
         handling; generated rows include exact ties (repeated values
-        and zeros) to stress the >= / > rules.
+        and zeros) to stress the >= / > rules. Both are called directly
+        here so each row count exercises both arms.
         """
         rng = np.random.default_rng(77)
         for _ in range(N_CASES):
@@ -285,7 +291,7 @@ class TestKadaneImplementationsAgree:
             ratios = rng.choice(pool, size=(rows, width))
             lengths = rng.integers(1, width + 1, size=rows).astype(np.int32)
             a = _kadane_rows_python(ratios, lengths)
-            b = _kadane_rows_numpy(ratios, lengths)
+            b = _kadane_columns_numpy(np.ascontiguousarray(ratios.T), lengths)
             assert np.array_equal(a.log_z, b.log_z)
             assert np.array_equal(a.best_start, b.best_start)
             assert np.array_equal(a.best_end, b.best_end)
@@ -295,12 +301,12 @@ class TestKadaneImplementationsAgree:
 class TestMatrixKernelAgreement:
     """The full-matrix pipeline against the per-pair reference.
 
-    ``score_matrix_stacked`` walks a column-major ``(width, trees,
+    ``PstBatchScorer`` walks a column-major ``(width, trees,
     sequences)`` cube and runs one batched Kadane scan over all
     tree×sequence columns at once; these properties pin that pipeline
     — including the pair-step walk closure and the post-hoc segment
-    reconstruction — to the reference scorer and to the row-list
-    kernels it replaced.
+    reconstruction — to the reference scorer and to the per-row
+    Kadane loop.
     """
 
     @staticmethod
@@ -338,69 +344,15 @@ class TestMatrixKernelAgreement:
         pst, background, sequences = scenarios[0]
         scorer = PstBatchScorer(background)
         full = scorer.score_matrix_full([pst], sequences)
-        pre = scorer.prescore_matrix([pst], sequences, pool=None)
+        pre = scorer.prescore_matrix([pst], sequences)
         assert np.array_equal(full.log_z, pre.log_z)
         assert np.array_equal(full.best_start, pre.best_start)
         assert np.array_equal(full.best_end, pre.best_end)
         assert np.array_equal(full.whole, pre.whole)
 
-    def test_prescore_pool_equals_in_process(self, scenarios):
-        """Worker count is invisible: pooled matrix bit-equals serial."""
-        from repro.core.backends import ScoringPool
-
-        groups = list(self._grouped(scenarios).values())[:3]
-        with ScoringPool(2) as pool:
-            for group in groups:
-                psts = [pst for pst, _, _ in group[:4]]
-                background = group[0][1]
-                sequences = group[0][2]
-                scorer = PstBatchScorer(background)
-                serial = scorer.prescore_matrix(psts, sequences, pool=None)
-                pooled = scorer.prescore_matrix(psts, sequences, pool=pool)
-                assert np.array_equal(serial.log_z, pooled.log_z)
-                assert np.array_equal(serial.best_start, pooled.best_start)
-                assert np.array_equal(serial.best_end, pooled.best_end)
-                assert np.array_equal(serial.whole, pooled.whole)
-
-    def test_walk_states_matrix_matches_row_walk(self, scenarios):
-        """The (width, trees, sequences) cube agrees with the row walk."""
-        from repro.core.backends.vectorized import (
-            prepare_stack,
-            walk_states_matrix,
-        )
-
-        for group in list(self._grouped(scenarios).values())[:5]:
-            psts = [pst for pst, _, _ in group[:4]]
-            background = group[0][1]
-            sequences = group[0][2]
-            flats = [pst.flattened() for pst in psts]
-            stacked = stack_flats(flats)
-            prep = prepare_stack(stacked, log_background(background))
-            padded, lengths = pad_sequences(sequences)
-            cube = walk_states_matrix(prep, padded)
-            assert cube.shape == (padded.shape[1], len(psts), len(sequences))
-            for t in range(len(psts)):
-                rows = walk_states(
-                    stacked, padded, np.full(len(sequences), t, dtype=np.intp)
-                )
-                # cube is position-leading; compare against the
-                # (batch, width) row layout transposed. Real positions
-                # only: the row walk pins padding to the root while the
-                # cube lets it drift (its ratios are masked downstream).
-                transposed = cube[:, t, :].T
-                for r, length in enumerate(lengths):
-                    assert np.array_equal(
-                        transposed[r, :length], rows[r, :length]
-                    ), f"tree {t} row {r}"
-
     def test_pair_table_fallback_is_identical(self, scenarios):
         """walk_table2=None (over-budget closure) changes nothing."""
         import dataclasses
-
-        from repro.core.backends.vectorized import (
-            prepare_stack,
-            walk_states_matrix,
-        )
 
         for pst, background, sequences in scenarios[:40]:
             stacked = stack_flats([pst.flattened()])

@@ -1,32 +1,18 @@
-"""Shared-memory segment hygiene for the parallel scoring path.
+"""Shared-memory publishing of flattened PSTs (``repro.core.backends.shm``).
 
-The shm module's contract (see src/repro/core/backends/shm.py) is that
-segments never outlive their usefulness: publish/attach round-trips are
-zero-copy and bit-exact, refcounts hold stale segments alive only while
-a prescore is in flight, version bumps (new flat objects) drop the old
-segments, and pool shutdown — including a simulated worker crash —
-leaves nothing behind in ``/dev/shm``.
+The shard-process runner ships cluster exports through these segments,
+so a publish/attach round trip must be zero-copy and bit-exact, segment
+names deterministic, the wire spec small, and an unlinked segment gone.
 """
 
 from __future__ import annotations
 
-import gc
 import os
 from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
-import pytest
 
-from repro.core.backends import PstBatchScorer, ScoringPool
-from repro.core.backends.parallel import score_matrix_raw
-from repro.core.backends.shm import (
-    ARRAY_FIELDS,
-    ShmFlatStore,
-    attach_flat,
-    publish_flat,
-    specs_for,
-)
-from repro.core.backends.vectorized import log_background, pad_sequences
+from repro.core.backends.shm import ARRAY_FIELDS, attach_flat, publish_flat
 from repro.core.pst import ProbabilisticSuffixTree
 
 
@@ -40,14 +26,6 @@ def _build_pst(seed: int = 7, alphabet: int = 6) -> ProbabilisticSuffixTree:
     return pst
 
 
-def _sequences(seed: int, count: int, alphabet: int = 6) -> list[list[int]]:
-    rng = np.random.default_rng(seed)
-    return [
-        [int(s) for s in rng.integers(0, alphabet, int(length))]
-        for length in rng.integers(5, 40, count)
-    ]
-
-
 def _segment_exists(name: str) -> bool:
     """Whether the named segment is still linked (attachable)."""
     try:
@@ -56,15 +34,6 @@ def _segment_exists(name: str) -> bool:
         return False
     shm.close()
     return True
-
-
-def _dev_shm_leftovers() -> list[str]:
-    """This process's cluseq segments still present in /dev/shm."""
-    root = "/dev/shm"
-    if not os.path.isdir(root):  # pragma: no cover - non-Linux fallback
-        return []
-    prefix = f"cluseq-{os.getpid()}-"
-    return [n for n in os.listdir(root) if n.startswith(prefix)]
 
 
 class TestPublishAttachRoundTrip:
@@ -89,8 +58,7 @@ class TestPublishAttachRoundTrip:
                     del view
             finally:
                 # The rebuilt flat's arrays are buffer exports over the
-                # mapping — drop them before closing, as the worker
-                # cache does.
+                # mapping — drop them before closing.
                 del rebuilt
                 worker_shm.close()
         finally:
@@ -128,213 +96,3 @@ class TestPublishAttachRoundTrip:
         finally:
             shm.close()
             shm.unlink()
-
-
-class TestStoreLifecycle:
-    def test_pin_release_refcounts(self):
-        store = ShmFlatStore()
-        flat = _build_pst().flattened()
-        spec = store.pin(flat)
-        assert store.refcount_of(flat) == 1
-        # Re-pinning the same flat reuses the segment, no republish.
-        again = store.pin(flat)
-        assert again.name == spec.name
-        assert store.refcount_of(flat) == 2
-        assert store.segment_names == [spec.name]
-        store.release(flat)
-        assert store.refcount_of(flat) == 1
-        # Live (not stale) segments survive hitting refcount zero.
-        store.release(flat)
-        assert store.refcount_of(flat) == 0
-        assert _segment_exists(spec.name)
-        store.close()
-        assert not _segment_exists(spec.name)
-
-    def test_version_bump_drops_stale_segment(self):
-        store = ShmFlatStore()
-        pst = _build_pst()
-        old_flat = pst.flattened()
-        old_spec = store.pin(old_flat)
-        store.release(old_flat)
-        # Mutate the tree: the next export is a new flat object with a
-        # bumped version — identity is the (tree, version) key.
-        pst.add_sequence([0, 1, 2, 3])
-        new_flat = pst.flattened()
-        assert new_flat is not old_flat
-        assert new_flat.version > old_flat.version
-        specs = specs_for(store, [new_flat])
-        # sync() inside specs_for marked the old segment stale; with no
-        # pins in flight it is unlinked immediately.
-        assert not _segment_exists(old_spec.name)
-        assert [spec.version for spec in specs] == [new_flat.version]
-        assert _segment_exists(specs[0].name)
-        store.close()
-        assert not _segment_exists(specs[0].name)
-
-    def test_stale_segment_survives_until_unpinned(self):
-        store = ShmFlatStore()
-        pst = _build_pst()
-        old_flat = pst.flattened()
-        old_spec = store.pin(old_flat)  # in-flight prescore holds a pin
-        pst.add_sequence([1, 2, 1, 2])
-        store.sync([pst.flattened()])
-        # Stale but pinned: the in-flight chunk may still be attaching.
-        assert _segment_exists(old_spec.name)
-        store.release(old_flat)
-        assert not _segment_exists(old_spec.name)
-        store.close()
-
-    def test_close_is_idempotent(self):
-        store = ShmFlatStore()
-        flat = _build_pst().flattened()
-        spec = store.pin(flat)
-        store.close()
-        store.close()
-        assert not _segment_exists(spec.name)
-        assert _dev_shm_leftovers() == []
-
-
-class TestPoolHygiene:
-    def test_pool_prescore_matches_in_process(self):
-        psts = [_build_pst(seed) for seed in (3, 4, 5)]
-        flats = [pst.flattened() for pst in psts]
-        sequences = _sequences(11, 25)
-        background = np.full(psts[0].alphabet_size, 1.0 / psts[0].alphabet_size)
-        log_bg = log_background(background)
-        expected = score_matrix_raw(flats, sequences, log_bg)
-        with ScoringPool(2) as pool:
-            got = pool.prescore_lists(flats, sequences, log_bg)
-        assert got == expected  # bit-identical, worker count invisible
-
-    def test_pool_shutdown_leaves_no_segments(self):
-        psts = [_build_pst(seed) for seed in (3, 4)]
-        flats = [pst.flattened() for pst in psts]
-        sequences = _sequences(12, 10)
-        log_bg = log_background(
-            np.full(psts[0].alphabet_size, 1.0 / psts[0].alphabet_size)
-        )
-        pool = ScoringPool(1)
-        padded, lengths = pad_sequences(sequences)
-        pool.prescore_matrix(flats, padded, lengths, log_bg)
-        names = list(pool._resources.store.segment_names)
-        assert len(names) == len(flats)
-        pool.close()
-        pool.close()  # idempotent
-        assert pool.closed
-        for name in names:
-            assert not _segment_exists(name)
-        assert _dev_shm_leftovers() == []
-        with pytest.raises(RuntimeError):
-            pool.prescore_matrix(flats, padded, lengths, log_bg)
-
-    def test_finalizer_reclaims_forgotten_pool(self):
-        psts = [_build_pst(seed) for seed in (6, 7)]
-        flats = [pst.flattened() for pst in psts]
-        sequences = _sequences(13, 8)
-        log_bg = log_background(
-            np.full(psts[0].alphabet_size, 1.0 / psts[0].alphabet_size)
-        )
-        pool = ScoringPool(1)
-        padded, lengths = pad_sequences(sequences)
-        pool.prescore_matrix(flats, padded, lengths, log_bg)
-        names = list(pool._resources.store.segment_names)
-        assert names
-        del pool  # no close(): the weakref.finalize hook must fire
-        gc.collect()
-        for name in names:
-            assert not _segment_exists(name)
-        assert _dev_shm_leftovers() == []
-
-    def test_worker_crash_does_not_leak_segments(self):
-        psts = [_build_pst(seed) for seed in (8, 9)]
-        flats = [pst.flattened() for pst in psts]
-        sequences = _sequences(14, 8)
-        log_bg = log_background(
-            np.full(psts[0].alphabet_size, 1.0 / psts[0].alphabet_size)
-        )
-        pool = ScoringPool(1)
-        padded, lengths = pad_sequences(sequences)
-        pool.prescore_matrix(flats, padded, lengths, log_bg)
-        names = list(pool._resources.store.segment_names)
-        executor = pool._resources.executor
-        assert executor is not None
-        # Simulate a worker crash: kill the worker processes while they
-        # still hold segment mappings. The parent's unlink (via close)
-        # must still clear /dev/shm — POSIX keeps the memory alive for
-        # mappers, but the *name* must go.
-        for process in list(executor._processes.values()):
-            process.terminate()
-            process.join()
-        pool.close()
-        for name in names:
-            assert not _segment_exists(name)
-        assert _dev_shm_leftovers() == []
-
-
-class TestPoolReset:
-    """A long-running server must survive a crashed worker pool."""
-
-    def test_reset_recovers_from_worker_crash(self):
-        from concurrent.futures.process import BrokenProcessPool
-
-        psts = [_build_pst(seed) for seed in (15, 16)]
-        flats = [pst.flattened() for pst in psts]
-        sequences = _sequences(17, 12)
-        log_bg = log_background(
-            np.full(psts[0].alphabet_size, 1.0 / psts[0].alphabet_size)
-        )
-        expected = score_matrix_raw(flats, sequences, log_bg)
-        pool = ScoringPool(1)
-        try:
-            assert pool.prescore_lists(flats, sequences, log_bg) == expected
-            assert pool.probe()
-            # Crash the worker: the executor is now permanently broken
-            # and poisons every later submit.
-            executor = pool._resources.executor
-            assert executor is not None
-            for process in list(executor._processes.values()):
-                process.terminate()
-                process.join()
-            padded, lengths = pad_sequences(sequences)
-            with pytest.raises(BrokenProcessPool):
-                pool.prescore_matrix(flats, padded, lengths, log_bg)
-            assert not pool.probe()
-            stale = list(pool._resources.store.segment_names)
-            pool.reset()
-            # The old store's segments were unlinked by the reset...
-            for name in stale:
-                assert not _segment_exists(name)
-            # ...and the fresh executor scores bit-identically again.
-            assert not pool.closed
-            assert pool.probe()
-            assert pool.prescore_lists(flats, sequences, log_bg) == expected
-        finally:
-            pool.close()
-        assert _dev_shm_leftovers() == []
-
-    def test_reset_on_closed_pool_raises(self):
-        pool = ScoringPool(1)
-        pool.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.reset()
-        assert not pool.probe()
-
-    def test_finalizer_still_reclaims_after_reset(self):
-        psts = [_build_pst(seed) for seed in (18, 19)]
-        flats = [pst.flattened() for pst in psts]
-        sequences = _sequences(20, 6)
-        log_bg = log_background(
-            np.full(psts[0].alphabet_size, 1.0 / psts[0].alphabet_size)
-        )
-        pool = ScoringPool(1)
-        padded, lengths = pad_sequences(sequences)
-        pool.prescore_matrix(flats, padded, lengths, log_bg)
-        pool.reset()
-        pool.prescore_matrix(flats, padded, lengths, log_bg)
-        names = list(pool._resources.store.segment_names)
-        assert names
-        del pool  # the re-armed finalizer must reclaim the new resources
-        gc.collect()
-        for name in names:
-            assert not _segment_exists(name)
-        assert _dev_shm_leftovers() == []

@@ -765,24 +765,28 @@ def test_leak(path):
             tmp_path,
             "src/repro/core/r.py",
             """
-def score(flats, sequences):
-    pool = ScoringPool(2)
-    results = pool.prescore_lists(flats, sequences)
+from concurrent.futures import ProcessPoolExecutor
+
+def score(tasks):
+    pool = ProcessPoolExecutor(2)
+    results = list(pool.map(len, tasks))
     return results
 """,
             "CLQ009",
         )
         assert [v.rule_id for v in violations] == ["CLQ009"]
-        assert "ScoringPool" in violations[0].message
+        assert "ProcessPoolExecutor" in violations[0].message
 
     def test_pool_with_block_passes(self, tmp_path):
         violations = check_source(
             tmp_path,
             "src/repro/core/r.py",
             """
-def score(flats, sequences):
-    with ScoringPool(2) as pool:
-        return pool.prescore_lists(flats, sequences)
+from concurrent.futures import ProcessPoolExecutor
+
+def score(tasks):
+    with ProcessPoolExecutor(2) as pool:
+        return list(pool.map(len, tasks))
 """,
             "CLQ009",
         )

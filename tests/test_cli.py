@@ -46,6 +46,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "bogus"])
 
+    @pytest.mark.parametrize("command", ["cluster", "serve"])
+    def test_workers_flag_is_rejected(self, command, capsys):
+        # Scoring runs in-process only; the worker-pool flag is gone.
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "x.txt", "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_experiments_registry_complete(self):
         assert set(EXPERIMENTS) == {
             "table2", "table3", "table4", "table5", "table6",

@@ -169,3 +169,12 @@ class TestFormat:
         payload["format_version"] = 999
         with pytest.raises(ValueError, match="version"):
             result_from_dict(payload)
+
+    def test_retired_workers_field_is_ignored(self, fitted):
+        # Files saved while CluseqParams had a worker-pool count still load.
+        _, result = fitted
+        payload = result_to_dict(result)
+        payload["params"]["workers"] = 2
+        clone = result_from_dict(payload)
+        assert clone.params == result.params
+        assert clone.labels() == result.labels()

@@ -16,18 +16,16 @@ Usage::
     python -m tools.benchtrack ingest BENCH_PR8.json
     python -m tools.benchtrack report
     python -m tools.benchtrack check BENCH_smoke.json --tolerance 0.5
-    python -m tools.benchtrack check-parallel BENCH_smoke.json --min-cpus 2
+    python -m tools.benchtrack check-shards BENCH_SHARD.json --min-cpus 2
     python -m tools.benchtrack --check BENCH_smoke.json   # sugar
 
-``check-parallel`` is the intra-document gate: it pairs ``workers>0``
-rows against their ``workers=0`` twin and fails when parallel scoring
-is slower than serial (skipped below ``--min-cpus`` — a single-core
-machine cannot show parallel speedup); ``check-shards`` is its
-sharded-streaming sibling, pairing ``shards>1`` rows against their
-``shards=1`` twin (``benchmarks/bench_shard_throughput.py`` produces
-the documents). ``check-serving`` is the
-serving-layer gate: against the ledger baseline for the same workload
-it enforces a ``req_per_second`` floor and a ``p99_ms`` ceiling
+``check-shards`` is the intra-document gate: it pairs ``shards>1``
+rows against their ``shards=1`` twin and fails when sharded streaming
+is slower than a single shard (skipped below ``--min-cpus`` — a
+single-core machine cannot show parallel speedup;
+``benchmarks/bench_shard_throughput.py`` produces the documents).
+``check-serving`` is the serving-layer gate: against the ledger
+baseline for the same workload it enforces a ``req_per_second`` floor and a ``p99_ms`` ceiling
 (``benchmarks/bench_serving.py`` produces the documents)::
 
     python -m tools.benchtrack check-serving BENCH_SERVING.json
@@ -40,7 +38,6 @@ from __future__ import annotations
 
 from .ledger import (
     LEDGER_SCHEMA,
-    check_parallel,
     check_regressions,
     check_serving,
     check_shards,
@@ -55,7 +52,6 @@ from .schema import BENCH_SCHEMA, load_bench_document, stamp_bench_document, val
 __all__ = [
     "BENCH_SCHEMA",
     "LEDGER_SCHEMA",
-    "check_parallel",
     "check_regressions",
     "check_serving",
     "check_shards",

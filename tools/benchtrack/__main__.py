@@ -6,18 +6,15 @@ Subcommands::
     python -m tools.benchtrack report [--ledger L] [--out R]
     python -m tools.benchtrack check BENCH.json [--ledger L]
                                      [--metric M] [--tolerance T]
-    python -m tools.benchtrack check-parallel BENCH.json
-                                     [--min-cpus N] [--tolerance T]
     python -m tools.benchtrack check-shards BENCH.json
                                      [--min-cpus N] [--tolerance T]
     python -m tools.benchtrack check-serving BENCH.json [--ledger L]
                                      [--tolerance T] [--latency-tolerance T]
 
 ``--check BENCH.json`` (no subcommand) is sugar for ``check`` with the
-defaults — the form CI uses. ``check-parallel`` compares workers>0
-rows against their workers=0 twin inside one document and passes
-trivially below ``--min-cpus``; ``check-shards`` does the same for
-shards>1 rows against their shards=1 twin. ``check-serving`` gates the
+defaults — the form CI uses. ``check-shards`` compares shards>1 rows
+against their shards=1 twin inside one document and passes trivially
+below ``--min-cpus``. ``check-serving`` gates the
 serving bench against its ledger baseline on both throughput (req/s
 floor) and tail latency (p99 ceiling).
 """
@@ -35,7 +32,6 @@ from .ledger import (
     DEFAULT_METRIC,
     DEFAULT_SERVING_TOLERANCE,
     DEFAULT_TOLERANCE,
-    check_parallel,
     check_regressions,
     check_serving,
     check_shards,
@@ -112,28 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_TOLERANCE,
         help="allowed fractional drop before failing "
         f"(default: {DEFAULT_TOLERANCE})",
-    )
-
-    cmd_parallel = subparsers.add_parser(
-        "check-parallel",
-        help="fail when a workers>0 result is slower than its "
-        "workers=0 twin in the same bench document",
-    )
-    cmd_parallel.add_argument("bench_json", help="repro.bench/v1 document")
-    cmd_parallel.add_argument(
-        "--min-cpus",
-        type=int,
-        default=2,
-        metavar="N",
-        help="skip the check (pass) on machines with fewer CPUs "
-        "(default: 2 — parallel speedup needs real cores)",
-    )
-    cmd_parallel.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.1,
-        help="allowed fractional slowdown vs serial before failing "
-        "(default: 0.1, absorbs runner noise)",
     )
 
     cmd_shards = subparsers.add_parser(
@@ -238,36 +212,6 @@ def _command_check(
     return 0
 
 
-def _command_check_parallel(args: argparse.Namespace) -> int:
-    doc = _load_doc(args.bench_json)
-    import os
-
-    cpu_count = os.cpu_count() or 1
-    environment = doc.get("environment")
-    if isinstance(environment, dict) and isinstance(
-        environment.get("cpu_count"), int
-    ):
-        cpu_count = environment["cpu_count"]
-    if cpu_count < args.min_cpus:
-        print(
-            f"check-parallel skipped: {cpu_count} CPU(s) < "
-            f"--min-cpus {args.min_cpus} (parallel speedup needs real cores)"
-        )
-        return 0
-    messages = check_parallel(
-        doc,
-        min_cpus=args.min_cpus,
-        tolerance=args.tolerance,
-        cpu_count=cpu_count,
-    )
-    if messages:
-        for message in messages:
-            print(f"PARALLEL REGRESSION: {message}", file=sys.stderr)
-        return 1
-    print(f"benchtrack check-parallel passed: {args.bench_json}")
-    return 0
-
-
 def _command_check_shards(args: argparse.Namespace) -> int:
     doc = _load_doc(args.bench_json)
     import os
@@ -332,8 +276,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _command_report(args)
     if args.command == "check":
         return _command_check(args)
-    if args.command == "check-parallel":
-        return _command_check_parallel(args)
     if args.command == "check-shards":
         return _command_check_shards(args)
     if args.command == "check-serving":

@@ -185,75 +185,6 @@ def check_regressions(
     return messages
 
 
-_WORKERS_ONLY = frozenset({"workers"})
-
-
-def check_parallel(
-    doc: dict[str, Any],
-    min_cpus: int = 2,
-    tolerance: float = 0.1,
-    cpu_count: Optional[int] = None,
-) -> list[str]:
-    """Messages when a ``workers>0`` row is slower than its serial twin.
-
-    Pairs result rows *within one document* that differ only in
-    ``workers`` and fails any parallel row whose ``seconds`` exceeds
-    the ``workers=0`` row's by more than *tolerance* (fractional; the
-    allowance absorbs CI-runner noise, not design regressions). The
-    whole check is skipped — empty list — on machines with fewer than
-    *min_cpus* CPUs: parallel speedup is physically impossible on a
-    single core, and a gate must not fail for the hardware's sake. The
-    document's recorded ``environment.cpu_count`` (the machine that ran
-    the bench) is preferred over this machine's count.
-    """
-    problems = validate_bench_document(doc)
-    if problems:
-        return [f"invalid bench document: {p}" for p in problems]
-    if tolerance < 0.0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-    if cpu_count is None:
-        environment = doc.get("environment")
-        if isinstance(environment, dict) and isinstance(
-            environment.get("cpu_count"), int
-        ):
-            cpu_count = environment["cpu_count"]
-        else:
-            import os
-
-            cpu_count = os.cpu_count() or 1
-    if cpu_count < min_cpus:
-        return []
-    serial: dict[str, dict[str, Any]] = {}
-    for row in doc["results"]:
-        if isinstance(row, dict) and row.get("workers") == 0:
-            serial[_config_key(row, ignore=_WORKERS_ONLY)] = row
-    messages = []
-    for row in doc["results"]:
-        if not isinstance(row, dict):
-            continue
-        workers = row.get("workers")
-        if not isinstance(workers, int) or workers <= 0:
-            continue
-        base = serial.get(_config_key(row, ignore=_WORKERS_ONLY))
-        if base is None:
-            continue
-        seconds = row.get("seconds")
-        base_seconds = base.get("seconds")
-        if not isinstance(seconds, (int, float)) or not isinstance(
-            base_seconds, (int, float)
-        ):
-            continue
-        ceiling = base_seconds * (1.0 + tolerance)
-        if seconds > ceiling:
-            messages.append(
-                f"{doc['bench']} [{_config_key(row)}]: workers={workers} took "
-                f"{seconds:.4g}s vs {base_seconds:.4g}s serial "
-                f"(ceiling {ceiling:.4g}s at tolerance {tolerance:.0%}, "
-                f"{cpu_count} CPUs)"
-            )
-    return messages
-
-
 _SHARDS_ONLY = frozenset({"shards"})
 
 
@@ -265,8 +196,7 @@ def check_shards(
 ) -> list[str]:
     """Messages when a ``shards>1`` row is slower than its single-shard twin.
 
-    The sharded-streaming analogue of :func:`check_parallel`: pairs
-    result rows *within one document* that differ only in ``shards``
+    Pairs result rows *within one document* that differ only in ``shards``
     and fails any multi-shard row whose ``seconds`` exceeds the
     ``shards=1`` row's by more than *tolerance* (fractional). Skipped
     entirely — empty list — when the bench machine has fewer than
