@@ -2,7 +2,7 @@
 
 The Telemetry v2 instrumentation threads ``prof.enabled`` /
 ``registry.enabled`` guards through the scoring hot path
-(``PstBatchScorer._score_rows``, the stack/flat caches). This bench
+(``PstBatchScorer._score_matrix_arrays``, the stack/flat caches). This bench
 verifies the contract that motivated those guards: with telemetry
 fully disabled (the default), the instrumented scorer must run within
 ``OVERHEAD_BOUND`` (2%) of a hand-inlined, guard-free transcription of
@@ -12,14 +12,19 @@ Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_telemetry_overhead.py
 
-Exits non-zero when the bound is violated after ``ATTEMPTS`` retries
-(timing on shared CI machines is noisy; a bound this tight needs
-best-of-N on both sides and a couple of attempts). Also runs under
+Exits non-zero when the bound is violated after ``ATTEMPTS`` retries.
+Timing on shared machines is noisy — single timings of either side
+wander by ±15 %, far more than the bound — so each attempt times
+``PAIRS`` back-to-back (bare, instrumented) pairs, alternating which
+side runs first, and takes the median of the per-pair time ratios:
+drift that moves both calls of a pair cancels in its ratio, and the
+median ignores the pairs a scheduler hiccup hit. Also runs under
 pytest as the perf-smoke assertion.
 """
 
 from __future__ import annotations
 
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -47,8 +52,9 @@ from repro.obs import NULL_PROFILER, NULL_REGISTRY, get_profiler, get_registry
 OVERHEAD_BOUND = 0.02
 #: Timing attempts before declaring the bound violated.
 ATTEMPTS = 3
-#: Repeats per attempt; both sides take the best (min) timing.
-REPEATS = 30
+#: Timed (bare, instrumented) pairs per attempt; the estimate is the
+#: median of the per-pair ratios.
+PAIRS = 201
 
 WORKLOAD = {"alphabet": 12, "depth": 5, "significance": 3, "clusters": 6,
             "sequences": 60, "length": 80}
@@ -108,10 +114,10 @@ def make_bare_runner(scorer, psts, sequences, log_bg):
 def measure_overhead() -> tuple[float, float, float]:
     """(bare_seconds, instrumented_seconds, overhead_fraction).
 
-    The two variants are timed *interleaved* (bare, instrumented, bare,
-    instrumented, …) taking the min of each: back-to-back blocks pick
-    up systematic drift (frequency scaling, cache state) that dwarfs
-    the per-call guard cost this bench is trying to measure.
+    The two variants are timed in adjacent pairs, the order swapped on
+    every other pair so neither side always runs on a warmer cache.
+    The overhead is the median over pairs of ``instrumented / bare −
+    1``; the reported seconds are each side's median timing.
     """
     assert not get_registry().enabled and not get_profiler().enabled, (
         "this bench must run with telemetry disabled"
@@ -121,15 +127,32 @@ def measure_overhead() -> tuple[float, float, float]:
     scorer.score_matrix(psts, sequences)  # warm flats, stack and caches
     bare_runner = make_bare_runner(scorer, psts, sequences, scorer.log_bg)
     bare_runner()
-    bare = instrumented = float("inf")
-    for _ in range(REPEATS):
-        started = time.perf_counter()
-        bare_runner()
-        bare = min(bare, time.perf_counter() - started)
-        started = time.perf_counter()
+
+    def instrumented_runner() -> None:
         scorer.score_matrix(psts, sequences)
-        instrumented = min(instrumented, time.perf_counter() - started)
-    return bare, instrumented, instrumented / bare - 1.0
+
+    def timed(runner) -> float:
+        started = time.perf_counter()
+        runner()
+        return time.perf_counter() - started
+
+    bare_times: list[float] = []
+    instrumented_times: list[float] = []
+    for pair in range(PAIRS):
+        if pair % 2:
+            instrumented_times.append(timed(instrumented_runner))
+            bare_times.append(timed(bare_runner))
+        else:
+            bare_times.append(timed(bare_runner))
+            instrumented_times.append(timed(instrumented_runner))
+    overhead = statistics.median(
+        i / b for b, i in zip(bare_times, instrumented_times)
+    ) - 1.0
+    return (
+        statistics.median(bare_times),
+        statistics.median(instrumented_times),
+        overhead,
+    )
 
 
 def run(report=print) -> bool:

@@ -164,6 +164,9 @@ class PstBatchScorer:
         if fresh:
             if prof.enabled:
                 prof.cache_miss("stack")
+            # Release the outdated stack before building its successor,
+            # so two stacks never coexist at the peak.
+            self._stack = None
             self._stack = prepare_stack(stack_flats(flats), self._log_bg)
             self._stack_psts = tuple(psts)
             self._stack_versions = versions

@@ -34,7 +34,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from typing import Any
 
 import numpy as np
@@ -50,12 +50,7 @@ from ..obs import (
 )
 from ..sequences.database import SequenceDatabase
 from ..typing import PSTFactory
-from .backends import (
-    BACKENDS,
-    PstBatchScorer,
-    ScoreMatrixResult,
-    resolve_backend,
-)
+from .backends import BACKENDS, PstBatchScorer, resolve_backend
 from .cluster import Cluster, Membership
 from .pst import APPROX_BYTES_PER_NODE
 from .consolidation import consolidate
@@ -67,15 +62,14 @@ from .threshold import VALLEY_METHODS
 #: Valid sequence-examination orders for the reclustering phase (§6.3).
 ORDERINGS = ("fixed", "random", "cluster")
 
-#: Sequences prescored per chunk by the vectorized reclustering path.
+#: Sequences per :func:`examine_block` call in the fit's reclustering
+#: phase: the prescore snapshot of a block goes stale column by column
+#: as its clusters absorb joins, so blocks stay short.
 PRESCORE_CHUNK = 32
 
-#: When more than this fraction of a prescored chunk had to be rescored
-#: (its cluster absorbed a segment after the snapshot), the iteration is
-#: absorb-heavy and batch prescoring wastes work — the rest of the
-#: iteration falls back to serial scoring. Deterministic: the decision
-#: depends only on join counts, never on wall clock.
-STALE_SWITCH_FRACTION = 0.35
+#: One examined sequence: its log-SIM against each cluster, in cluster
+#: order, and a lazy full-result lookup by cluster position.
+Examination = tuple[list[float], Callable[[int], SimilarityResult]]
 
 _logger = get_logger("core.cluseq")
 
@@ -201,6 +195,120 @@ class IterationSnapshot:
 
 #: Signature of a per-iteration observer hook.
 IterationHook = Callable[[IterationSnapshot], None]
+
+
+def examine_block(
+    clusters: Sequence[Cluster],
+    block: Sequence[Sequence[int]],
+    background: npt.NDArray[np.float64],
+    scorer: PstBatchScorer | None = None,
+) -> Iterator[Examination]:
+    """The §4.2 examination loop: score *block* one sequence at a time.
+
+    Yields, in block order, each sequence's live log-SIM against every
+    cluster together with a lazy ``result_for(position)`` that returns
+    the full §4.3 result (segment bounds) for one cluster. The caller
+    commits each sequence — joins absorb segments into cluster PSTs —
+    before asking for the next, so every yielded score is against the
+    models as they stand at that moment, exactly as in the paper's
+    sequential loop. The cluster list must not change length meanwhile.
+
+    With a *scorer*, the whole block is prescored in one
+    ``prescore_matrix`` call. A prescored pair is trusted only while its
+    cluster still holds the same tree object at the same version as in
+    that snapshot; a pair whose cluster absorbed a segment since (a
+    *stale* pair, counted in ``backend.prescore_stale_pairs``) is
+    rescored with the reference :func:`similarity`, as is every pair
+    when there is no scorer. Both backends are bit-identical, so the
+    yielded scores never depend on the scorer.
+    """
+    psts = [cluster.pst for cluster in clusters]
+    versions = [pst.version for pst in psts]
+    matrix = (
+        scorer.prescore_matrix(psts, block)
+        if scorer is not None and psts and block
+        else None
+    )
+    # One bulk convert: reading the scalars for the join tests through
+    # numpy indexing would cost a boxed float per pair.
+    log_z_rows: list[list[float]] = (
+        matrix.log_z.tolist() if matrix is not None else []
+    )
+    registry = get_registry()
+    for column, seq in enumerate(block):
+        log_sims: list[float] = []
+        rescored: dict[int, SimilarityResult] = {}
+        for position, cluster in enumerate(clusters):
+            if (
+                matrix is not None
+                and cluster.pst is psts[position]
+                and cluster.pst.version == versions[position]
+            ):
+                log_sims.append(log_z_rows[position][column])
+            else:
+                result = similarity(cluster.pst, seq, background)
+                rescored[position] = result
+                log_sims.append(result.log_similarity)
+        if matrix is not None and rescored and registry.enabled:
+            registry.counter("backend.prescore_stale_pairs").inc(len(rescored))
+
+        def result_for(
+            position: int,
+            _column: int = column,
+            _rescored: dict[int, SimilarityResult] = rescored,
+        ) -> SimilarityResult:
+            fresh = _rescored.get(position)
+            if fresh is not None:
+                return fresh
+            assert matrix is not None
+            return matrix.result(position, _column)
+
+        yield log_sims, result_for
+
+
+def _join(
+    cluster: Cluster, index: int, seq: Sequence[int], result: SimilarityResult
+) -> None:
+    """Record *index* as a member and absorb its best segment (§4.4)."""
+    cluster.set_member(
+        Membership(
+            sequence_index=index,
+            log_similarity=result.log_similarity,
+            best_start=result.best_start,
+            best_end=result.best_end,
+        )
+    )
+    cluster.absorb_segment(list(seq[result.best_start : result.best_end]))
+
+
+def join_best(
+    clusters: Sequence[Cluster],
+    index: int,
+    seq: Sequence[int],
+    examination: Examination,
+    log_t: float,
+) -> Cluster | None:
+    """The §4.4 best join: the sequence joins its most similar cluster.
+
+    *examination* is the sequence's :func:`examine_block` output. The
+    first cluster with the maximum log-SIM wins; the sequence joins it
+    only if that maximum reaches *log_t*, and the winning cluster's PST
+    then absorbs the sequence's best-scoring segment. Returns the
+    joined cluster, or ``None`` for an outlier; the caller keeps the
+    assignment map.
+    """
+    log_sims, result_for = examination
+    best_position = -1
+    best_log_sim = -math.inf
+    for position, log_sim in enumerate(log_sims):
+        if best_position < 0 or log_sim > best_log_sim:
+            best_position = position
+            best_log_sim = log_sim
+    if best_position < 0 or best_log_sim < log_t:
+        return None
+    cluster = clusters[best_position]
+    _join(cluster, index, seq, result_for(best_position))
+    return cluster
 
 
 @dataclass
@@ -345,29 +453,13 @@ class ClusteringResult:
         log_t = (
             self.final_log_threshold if log_threshold is None else log_threshold
         )
-        best: tuple[int, SimilarityResult] | None = None
-        for cluster in self.clusters:
-            result = similarity(cluster.pst, encoded, self.background)
-            if best is None or result.log_similarity > best[1].log_similarity:
-                best = (cluster.cluster_id, result)
-        if best is None or best[1].log_similarity < log_t:
+        (examination,) = examine_block(self.clusters, [encoded], self.background)
+        cluster = join_best(self.clusters, new_index, encoded, examination, log_t)
+        if cluster is None:
             self.assignments[new_index] = set()
             return None
-        best_id, best_result = best
-        cluster = self.cluster_by_id(best_id)
-        cluster.set_member(
-            Membership(
-                sequence_index=new_index,
-                log_similarity=best_result.log_similarity,
-                best_start=best_result.best_start,
-                best_end=best_result.best_end,
-            )
-        )
-        cluster.absorb_segment(
-            list(encoded[best_result.best_start : best_result.best_end])
-        )
-        self.assignments[new_index] = {best_id}
-        return best_id
+        self.assignments[new_index] = {cluster.cluster_id}
+        return cluster.cluster_id
 
     def summary(self) -> str:
         """A short human-readable report of the run.
@@ -584,34 +676,18 @@ class CLUSEQ:
                 all_log_sims: list[float] = []
                 membership_changes = 0
                 reclustering_work = 0
-                if scorer is not None:
-                    membership_changes, reclustering_work = (
-                        self._recluster_vectorized(
-                            order,
-                            encoded,
-                            clusters,
-                            assignments,
-                            unclustered_streak,
-                            background,
-                            log_t,
-                            all_log_sims,
-                            scorer,
-                        )
+                for start in range(0, len(order), PRESCORE_CHUNK):
+                    block = order[start : start + PRESCORE_CHUNK]
+                    examined = examine_block(
+                        clusters, [encoded[i] for i in block], background, scorer
                     )
-                else:
-                    for index in order:
-                        seq = encoded[index]
-                        results = [
-                            similarity(cluster.pst, seq, background)
-                            for cluster in clusters
-                        ]
-                        reclustering_work += len(seq) * len(clusters)
+                    for index, examination in zip(block, examined):
+                        reclustering_work += len(encoded[index]) * len(clusters)
                         if self._commit_examination(
                             index,
-                            seq,
+                            encoded[index],
                             clusters,
-                            [r.log_similarity for r in results],
-                            results.__getitem__,
+                            examination,
                             log_t,
                             assignments,
                             unclustered_streak,
@@ -828,48 +904,36 @@ class CLUSEQ:
         index: int,
         seq: list[int],
         clusters: list[Cluster],
-        log_sims: Sequence[float],
-        result_for: Callable[[int], SimilarityResult],
+        examination: Examination,
         log_t: float,
         assignments: dict[int, set[int]],
         unclustered_streak: dict[int, int],
         all_log_sims: list[float],
     ) -> bool:
-        """Apply one sequence's §4.2–§4.4 examination outcome.
+        """Apply one sequence's §4.2 examination outcome: join all.
 
-        *log_sims* holds the sequence's log-SIM against each cluster,
-        in cluster order; *result_for* materializes the full result
-        (with segment bounds) for a cluster position and is called only
-        for clusters the sequence actually joins. Joins are the sparse
-        outcome, so the vectorized path never builds result objects for
-        the dense reject majority. Shared by the reference and
-        vectorized paths — the join rule, the segment absorption and
-        the bookkeeping are the semantics both backends must agree on.
-        Returns whether the sequence's membership set changed.
+        *examination* is the sequence's :func:`examine_block` output.
+        The sequence joins every cluster whose log-SIM reaches *log_t*;
+        full results (with segment bounds) are materialized only for
+        those joins, the sparse outcome. Returns whether the sequence's
+        membership set changed.
         """
-        joined: list[tuple[Cluster, SimilarityResult]] = []
-        for position, cluster in enumerate(clusters):
-            log_sim = log_sims[position]
-            all_log_sims.append(log_sim)
-            if log_sim >= log_t:
-                joined.append((cluster, result_for(position)))
-        new_ids = {cluster.cluster_id for cluster, _ in joined}
+        log_sims, result_for = examination
+        all_log_sims.extend(log_sims)
+        joined = [
+            position
+            for position, log_sim in enumerate(log_sims)
+            if log_sim >= log_t
+        ]
+        new_ids = {clusters[position].cluster_id for position in joined}
         changed = new_ids != assignments[index]
-        for cluster, result in joined:
-            cluster.set_member(
-                Membership(
-                    sequence_index=index,
-                    log_similarity=result.log_similarity,
-                    best_start=result.best_start,
-                    best_end=result.best_end,
-                )
-            )
+        for position in joined:
             # §4.2: *each* join — including a re-join on a later
             # iteration — feeds the current best-scoring segment
             # into the cluster's PST. Re-absorption is what lets
             # a young model mature: as it improves, a member's
             # best segment extends towards the whole sequence.
-            cluster.absorb_segment(seq[result.best_start : result.best_end])
+            _join(clusters[position], index, seq, result_for(position))
         for cluster in clusters:
             if cluster.cluster_id not in new_ids:
                 cluster.drop_member(index)
@@ -879,120 +943,6 @@ class CLUSEQ:
         else:
             unclustered_streak[index] += 1
         return changed
-
-    def _recluster_vectorized(
-        self,
-        order: list[int],
-        encoded: list[list[int]],
-        clusters: list[Cluster],
-        assignments: dict[int, set[int]],
-        unclustered_streak: dict[int, int],
-        background: npt.NDArray[np.float64],
-        log_t: float,
-        all_log_sims: list[float],
-        scorer: PstBatchScorer,
-    ) -> tuple[int, int]:
-        """Phase 2 on the vectorized backend: prescore, validate, commit.
-
-        Sequences are prescored in chunks of :data:`PRESCORE_CHUNK`
-        against a snapshot of every cluster model, then committed
-        **sequentially** in examination order. A prescored pair is
-        trusted only while its cluster's PST version still matches the
-        snapshot; a cluster that absorbed a segment mid-chunk gets the
-        affected pairs rescored against its current model. The committed
-        scores are therefore exactly the reference path's, join for join
-        and segment for segment.
-
-        When a chunk's stale fraction exceeds
-        :data:`STALE_SWITCH_FRACTION`, prescoring is wasting its work
-        (every join invalidates a column) and the remainder of the
-        iteration switches to serial scoring — a deterministic,
-        results-neutral speed decision.
-        """
-        membership_changes = 0
-        reclustering_work = 0
-        batch_mode = True
-        registry = get_registry()
-        position = 0
-        while position < len(order):
-            block = order[position : position + PRESCORE_CHUNK]
-            position += len(block)
-            if not clusters or not batch_mode:
-                for index in block:
-                    seq = encoded[index]
-                    results = [
-                        similarity(cluster.pst, seq, background)
-                        for cluster in clusters
-                    ]
-                    reclustering_work += len(seq) * len(clusters)
-                    if self._commit_examination(
-                        index,
-                        seq,
-                        clusters,
-                        [r.log_similarity for r in results],
-                        results.__getitem__,
-                        log_t,
-                        assignments,
-                        unclustered_streak,
-                        all_log_sims,
-                    ):
-                        membership_changes += 1
-                continue
-            psts = [cluster.pst for cluster in clusters]
-            versions = [pst.version for pst in psts]
-            block_seqs = [encoded[index] for index in block]
-            matrix = scorer.prescore_matrix(psts, block_seqs)
-            # One bulk convert: reading the scalars for the join tests
-            # through numpy indexing would cost a boxed float per pair.
-            log_z_rows = matrix.log_z.tolist()
-            stale = 0
-            for offset, index in enumerate(block):
-                seq = encoded[index]
-                log_sims: list[float] = []
-                rescored: dict[int, SimilarityResult] = {}
-                for position_c, cluster in enumerate(clusters):
-                    if (
-                        cluster.pst is psts[position_c]
-                        and cluster.pst.version == versions[position_c]
-                    ):
-                        log_sims.append(log_z_rows[position_c][offset])
-                    else:
-                        stale += 1
-                        result = similarity(cluster.pst, seq, background)
-                        rescored[position_c] = result
-                        log_sims.append(result.log_similarity)
-
-                def result_for(
-                    position_c: int,
-                    _matrix: ScoreMatrixResult = matrix,
-                    _offset: int = offset,
-                    _rescored: dict[int, SimilarityResult] = rescored,
-                ) -> SimilarityResult:
-                    fresh = _rescored.get(position_c)
-                    if fresh is not None:
-                        return fresh
-                    return _matrix.result(position_c, _offset)
-
-                reclustering_work += len(seq) * len(clusters)
-                if self._commit_examination(
-                    index,
-                    seq,
-                    clusters,
-                    log_sims,
-                    result_for,
-                    log_t,
-                    assignments,
-                    unclustered_streak,
-                    all_log_sims,
-                ):
-                    membership_changes += 1
-            if registry.enabled and stale:
-                registry.counter("backend.prescore_stale_pairs").inc(stale)
-            if stale > STALE_SWITCH_FRACTION * (len(block) * len(clusters)):
-                batch_mode = False
-                if registry.enabled:
-                    registry.counter("backend.prescore_fallbacks").inc()
-        return membership_changes, reclustering_work
 
     def _calibrate_initial_threshold(
         self,

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs import MetricsRegistry, use_registry
 from repro.stream import (
     STREAM_FORMAT,
     BatchRecord,
@@ -397,3 +398,36 @@ class TestStreamingEngine:
         assert [r.ordinal for r in records] == [0, 1, 2, 3]
         replayed = [seq for r in records for seq in r.sequences]
         assert replayed == stream.sequences
+
+    @pytest.mark.parametrize(
+        ("backend", "prescored"), [("vectorized", True), ("reference", False)]
+    )
+    def test_absorb_inside_a_batch_counts_stale_prescored_pairs(
+        self, backend, prescored
+    ):
+        stream = drifting_markov_stream(
+            120, 120, alphabet_size=8, concentration=0.05, seed=7
+        )
+        engine = StreamingCluseq.cold_start(
+            alphabet_size=8,
+            similarity_threshold=10.0,
+            significance_threshold=3,
+            max_depth=4,
+            config=quick_config(backend=backend),
+        )
+        engine.run(stream.sequences[:100])
+        assert engine.result.clusters
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            assigned = engine.ingest_batch(stream.sequences[100:110])
+        # A join absorbs a segment, so the batch's prescored pairs
+        # against that cluster go stale for every later sequence.
+        first_join = next(
+            i for i, cid in enumerate(assigned) if cid is not None
+        )
+        assert first_join < len(assigned) - 1
+        stale = registry.counter("backend.prescore_stale_pairs").value
+        if prescored:
+            assert stale >= len(assigned) - 1 - first_join
+        else:
+            assert stale == 0
